@@ -58,6 +58,12 @@ fn structure_reuse(c: &mut Criterion) {
     let instance = &fx.scenario.instance;
     let config = AlgorithmConfig::default();
     let context = InferenceContext::for_correlation(instance, config).expect("context builds");
+    // The solve plan the fixture's systems take, so the recorded notes can
+    // name the solver that actually runs.
+    println!(
+        "inference_structure_reuse: fixture solver plan {:?}",
+        context.solver_kind()
+    );
 
     let mut group = c.benchmark_group("inference_structure_reuse");
     group.sample_size(10);

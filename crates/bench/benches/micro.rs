@@ -263,7 +263,7 @@ fn estimator_queries(c: &mut Criterion) {
         b.iter(|| scalar_est.prob_exactly_congested(&target).expect("valid"))
     });
     group.bench_function("all_good_packed", |b| {
-        b.iter(|| packed_est.prob_all_paths_good())
+        b.iter(|| packed_est.prob_all_paths_good().expect("non-empty"))
     });
     group.bench_function("all_good_scalar", |b| {
         b.iter(|| scalar_est.prob_all_paths_good())

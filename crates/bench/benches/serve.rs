@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 use netcorr_bench::{fixture, serve_reinfer_workload, Fixture, SERVE_HEAD_SNAPSHOTS};
-use netcorr_core::AlgorithmConfig;
+use netcorr_core::{AlgorithmConfig, InferenceContext};
 use netcorr_eval::figures::TopologyFamily;
 use netcorr_eval::scenario::CorrelationLevel;
 use netcorr_serve::{protocol, TomographyService};
@@ -132,8 +132,14 @@ fn reinfer(c: &mut Criterion) {
     });
     // The full daemon loop: fresh service, warm-up history, then a
     // re-inference per arriving snapshot — what one stream of the fixture
-    // costs end to end (dense default plan, so this also covers the
+    // costs end to end (default plan, so this also covers the
     // RHS-refresh path).
+    println!(
+        "serve_reinfer: service_loop_end_to_end solver plan {:?}",
+        InferenceContext::new(&fx.scenario.instance, &AlgorithmConfig::default())
+            .expect("context builds")
+            .solver_kind()
+    );
     group.bench_function("service_loop_end_to_end", |b| {
         b.iter(|| {
             let mut service =

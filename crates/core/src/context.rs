@@ -1,11 +1,12 @@
 //! Batched, factorization-reusing inference over a shared topology.
 //!
-//! [`crate::CorrelationAlgorithm::infer`] re-derives everything from
-//! scratch on every call: the equation structure (a pure function of the
-//! topology instance and the equation config), the independence selection
-//! (a pure function of the structure's rows) and — on the dense path —
-//! the QR factorization of the selected-equation matrix (a pure function
-//! of the selected rows). Across a multi-trial experiment all of that
+//! A one-shot [`crate::CorrelationAlgorithm::infer`] builds a context,
+//! runs it once and drops it, so it re-derives everything on every call:
+//! the equation structure (a pure function of the topology instance and
+//! the equation config), the independence selection (a pure function of
+//! the structure's rows) and — on the dense determined path — the QR
+//! factorization of the selected-equation matrix (a pure function of the
+//! selected rows). Across a multi-trial experiment all of that
 //! work is identical from trial to trial; only the right-hand side (the
 //! measured log-probabilities) changes.
 //!
@@ -22,12 +23,13 @@
 //!   chains ([`WARM_CHAIN`]) so the batched result does not depend on how
 //!   a batch is later split across threads.
 //!
-//! Everything the context computes is **bit-identical** to the one-shot
-//! algorithms: same structure, same selection, same arithmetic order.
-//! [`ContextCache`] shares contexts across threads, keyed by the exact
-//! structural identity of the instance + configuration (never by a digest
-//! alone, so a hash collision cannot silently reuse the wrong
-//! factorization).
+//! Everything the context computes is **bit-identical** to assembling the
+//! system with [`crate::equations::build_equations`] and solving it with
+//! [`crate::solver::solve_equations`]: same structure, same selection,
+//! same arithmetic order. [`ContextCache`] shares contexts across
+//! threads, keyed by the exact structural identity of the instance +
+//! configuration (never by a digest alone, so a hash collision cannot
+//! silently reuse the wrong factorization).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -71,10 +73,11 @@ enum SolvePlan {
 ///
 /// Construction performs all the per-topology work (structure, selection,
 /// factorization); [`InferenceContext::infer`] then costs only the RHS
-/// estimation plus a back-substitution (dense) or CGLS run (sparse) per
-/// trial, and is bit-identical to
+/// estimation plus the prepared solve per trial: a back-substitution
+/// (dense determined), a minimum-L1-norm LP (dense under-determined) or
+/// a CGLS run (sparse). The one-shot
 /// [`crate::CorrelationAlgorithm::infer`] /
-/// [`crate::IndependenceAlgorithm::infer`] with the same configuration.
+/// [`crate::IndependenceAlgorithm::infer`] run exactly this pipeline.
 pub struct InferenceContext {
     num_links: usize,
     num_paths: usize,
@@ -309,10 +312,10 @@ impl InferenceContext {
     }
 
     /// Infers the per-link congestion probabilities for one trial's
-    /// observations. Bit-identical to the one-shot
+    /// observations (the one-shot
     /// [`crate::CorrelationAlgorithm::infer`] /
-    /// [`crate::IndependenceAlgorithm::infer`] with the same
-    /// configuration.
+    /// [`crate::IndependenceAlgorithm::infer`] are a context build plus
+    /// this call).
     pub fn infer(&self, observations: &PathObservations) -> Result<TomographyEstimate, CoreError> {
         let estimator = self.estimator(observations)?;
         let rhs = self.rhs(&estimator)?;

@@ -146,18 +146,17 @@ impl<'a> TheoremAlgorithm<'a> {
         self.instance.validate()?;
         self.check_width(observations.num_paths())?;
         let estimator = ProbabilityEstimator::new(observations)?;
-        let p_all_good = estimator.prob_all_paths_good();
+        let p_all_good = estimator.prob_all_paths_good()?;
         // Guarding before enumeration skips the subset enumeration and
-        // the batch row-matching pass when the error is already
+        // the batch pattern sweep when the error is already
         // inevitable, and keeps the error precedence of the pre-refactor
         // code (insufficient observations before enumeration limits).
         Self::check_normalisable(p_all_good)?;
 
         let enumeration = enumerate_subsets(self.instance, &self.config.limits)?;
         // Measure P(ψ(S) = ψ(A)) for every correlation subset up front
-        // through the estimator's batch API: all target patterns are packed
-        // into word masks once and matched in a single streaming pass over
-        // the packed snapshot rows.
+        // through the estimator's batch API: each pattern is one AND sweep
+        // over the packed lanes, 64 snapshots per word.
         let coverages: Vec<BTreeSet<PathId>> = enumeration
             .subsets
             .iter()

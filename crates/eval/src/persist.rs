@@ -595,7 +595,7 @@ mod tests {
         let mapped = map_observations(&file).unwrap();
         assert_eq!(mapped.num_paths(), obs.num_paths());
         assert_eq!(mapped.num_snapshots(), 250);
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
         assert_eq!(read_observations(&file).unwrap(), obs);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -886,7 +886,7 @@ mod tests {
         let footer = validate_history_bytes(&std::fs::read(&file).unwrap()).unwrap();
         let mapped = map_observations_prefix(&file, footer.payload_len).unwrap();
         assert_eq!(mapped.num_snapshots(), 64);
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
         // The whole-file open rejects the footered layout, so the prefix
         // form is the only way in.
         assert!(map_observations(&file).is_err());

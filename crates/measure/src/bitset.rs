@@ -1,15 +1,13 @@
 //! Bit-packed Boolean storage for observations and link-state traces.
 //!
-//! Two complementary layouts back the observation pipeline:
-//!
-//! * [`BitLanes`] — *lane-major* (columnar): one packed `u64` lane per
-//!   path, one bit per snapshot. Marginal and joint path queries become
-//!   bitwise AND / popcount over whole words, touching 64 snapshots per
-//!   instruction.
-//! * [`BitMatrix`] — *row-major*: one packed row per snapshot, one bit per
-//!   path (or per link, for simulation traces). Exact-state queries
-//!   (`P(ψ(S) = ψ(A))`) become word-equality of each row against a packed
-//!   target mask.
+//! * [`BitLanes`] / [`BitLanesView`] — *lane-major* (columnar), the one
+//!   observation layout: one packed `u64` lane per path, one bit per
+//!   snapshot. Every estimator query — marginal, joint, all-good and
+//!   exact-state — is a bitwise sweep over whole lane words, touching 64
+//!   snapshots per instruction.
+//! * [`BitMatrix`] — *row-major*: one packed row per snapshot, one bit
+//!   per link. It stores the simulator's link-state traces, which are
+//!   only ever read row by row.
 //!
 //! Both structures maintain the invariant that every bit beyond the logical
 //! extent (slots / width) is zero, so popcounts over stored words never
@@ -40,6 +38,34 @@ pub fn tail_mask(bits: usize) -> u64 {
         0 if bits == 0 => 0,
         0 => !0,
         rem => (1u64 << rem) - 1,
+    }
+}
+
+/// Sets bit `i` of a packed word buffer for every `i` in `bits`.
+#[inline]
+pub(crate) fn set_bits(words: &mut [u64], bits: impl IntoIterator<Item = usize>) {
+    for bit in bits {
+        words[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
+    }
+}
+
+/// ORs the packed lane `src` into `dst` starting at bit `offset`: the one
+/// shift-merge routine behind every concatenation of packed lanes. `dst`
+/// must be zero from bit `offset` on and long enough for the merged bits;
+/// because `src` keeps the zero-tail invariant, its spill past the last
+/// destination word is always zero and is dropped.
+pub(crate) fn shift_merge(dst: &mut [u64], offset: usize, src: &[u64]) {
+    let start = offset / WORD_BITS;
+    let shift = offset % WORD_BITS;
+    if shift == 0 {
+        dst[start..start + src.len()].copy_from_slice(src);
+        return;
+    }
+    for (i, &word) in src.iter().enumerate() {
+        dst[start + i] |= word << shift;
+        if let Some(next) = dst.get_mut(start + i + 1) {
+            *next |= word >> (WORD_BITS - shift);
+        }
     }
 }
 
@@ -132,6 +158,24 @@ impl BitLanes {
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
+    }
+
+    /// Slot `slot` across all lanes, unpacked (`values[l]` is lane `l`'s
+    /// bit) — the inverse of [`BitLanes::push_slot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= num_slots`.
+    pub(crate) fn slot(&self, slot: usize) -> Vec<bool> {
+        assert!(
+            slot < self.num_slots,
+            "slot {slot} out of range ({} recorded)",
+            self.num_slots
+        );
+        let (word, bit) = (slot / WORD_BITS, slot % WORD_BITS);
+        (0..self.num_lanes)
+            .map(|lane| self.words[lane * self.words_per_lane + word] >> bit & 1 == 1)
+            .collect()
     }
 
     /// Appends one slot across all lanes: `values[l]` becomes the new bit
@@ -240,17 +284,15 @@ impl BitLanes {
         }
     }
 
-    /// Appends every slot of `other` after this store's slots, by
-    /// word-level copy. This is the shard-merge primitive: because lanes
-    /// are packed, concatenating a shard whose start is word-aligned is a
-    /// `memcpy` per lane.
+    /// Appends every slot of `other` after this store's slots — the
+    /// shard-merge primitive. Each lane is merged with `shift_merge`:
+    /// a `memcpy` when this store ends on a word boundary (the shard
+    /// splitter aligns every boundary but the last), a word-level
+    /// shift-and-OR otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if the lane counts differ or if this store's slot count is
-    /// not a multiple of the word size (the shard splitter aligns every
-    /// boundary except the last, so merging in order always hits the
-    /// aligned case).
+    /// Panics if the lane counts differ.
     pub fn concat(&mut self, other: &BitLanes) {
         assert_eq!(
             self.num_lanes, other.num_lanes,
@@ -259,20 +301,16 @@ impl BitLanes {
         if other.num_slots == 0 {
             return;
         }
-        assert_eq!(
-            self.num_slots % WORD_BITS,
-            0,
-            "concat requires the left store to end on a word boundary \
-             ({} slots recorded)",
-            self.num_slots
-        );
         let total = self.num_slots + other.num_slots;
-        self.grow_to(words_for(total));
-        let offset = self.num_slots / WORD_BITS;
+        let used = words_for(total);
+        self.grow_to(used);
         for lane in 0..self.num_lanes {
-            let src = other.lane(lane);
-            let dst = lane * self.words_per_lane + offset;
-            self.words[dst..dst + src.len()].copy_from_slice(src);
+            let start = lane * self.words_per_lane;
+            shift_merge(
+                &mut self.words[start..start + used],
+                self.num_slots,
+                other.lane(lane),
+            );
         }
         self.num_slots = total;
     }
@@ -484,11 +522,13 @@ impl BitMatrix {
         );
         let start = self.words.len();
         self.words.resize(start + self.words_per_row, 0);
-        for (bit, &set) in row.iter().enumerate() {
-            if set {
-                self.words[start + bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
-            }
-        }
+        set_bits(
+            &mut self.words[start..],
+            row.iter()
+                .enumerate()
+                .filter(|(_, &set)| set)
+                .map(|(bit, _)| bit),
+        );
         self.num_rows += 1;
     }
 
@@ -530,8 +570,7 @@ impl BitMatrix {
     }
 
     /// The flat packed word buffer (`num_rows × words_per_row` words,
-    /// row-major) — the input shape of the row-matching SIMD kernels and
-    /// of the binary wire format.
+    /// row-major) — the layout of the persisted trace format.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -580,22 +619,6 @@ impl BitMatrix {
         );
         self.words.extend_from_slice(&other.words);
         self.num_rows += other.num_rows;
-    }
-
-    /// Packs a row-shaped Boolean mask (e.g. an exact-congestion target)
-    /// into the matrix's word layout, for word-equality comparison against
-    /// [`BitMatrix::row_words`].
-    pub fn pack_mask(&self, set_bits: impl IntoIterator<Item = usize>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.words_per_row];
-        for bit in set_bits {
-            assert!(
-                bit < self.width,
-                "mask bit {bit} out of range (width {})",
-                self.width
-            );
-            mask[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
-        }
-        mask
     }
 }
 
@@ -679,7 +702,8 @@ mod tests {
         let congested = [3usize, 64, 129];
         let row: Vec<bool> = (0..130).map(|i| congested.contains(&i)).collect();
         m.push_row(&row);
-        let mask = m.pack_mask(congested);
+        let mut mask = vec![0u64; m.words_per_row()];
+        set_bits(&mut mask, congested);
         assert_eq!(m.row_words(0), mask.as_slice());
     }
 
@@ -723,13 +747,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "word boundary")]
-    fn lanes_concat_rejects_unaligned_prefix() {
-        let mut left = BitLanes::new(1);
-        left.push_slot(&[true]);
-        let mut right = BitLanes::new(1);
-        right.push_slot(&[false]);
-        left.concat(&right);
+    fn lanes_concat_shifts_unaligned_prefix() {
+        // Every split of 150 slots, including the unaligned ones, merges
+        // to the same bits as recording the slots in one go.
+        let bit = |slot: usize, lane: usize| (slot * 5 + lane * 11).is_multiple_of(3);
+        let mut whole = BitLanes::new(2);
+        for slot in 0..150 {
+            whole.push_slot(&[bit(slot, 0), bit(slot, 1)]);
+        }
+        for split in [1usize, 37, 63, 64, 65, 127, 149] {
+            let mut left = BitLanes::new(2);
+            let mut right = BitLanes::new(2);
+            for slot in 0..150 {
+                let row = [bit(slot, 0), bit(slot, 1)];
+                if slot < split {
+                    left.push_slot(&row);
+                } else {
+                    right.push_slot(&row);
+                }
+            }
+            left.concat(&right);
+            assert_eq!(left, whole, "split at {split}");
+            assert_eq!(left.lane(0)[2] & !tail_mask(150), 0);
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::{BitLanes, BitMatrix};
+use crate::bitset::{shift_merge, BitLanes, BitLanesView, WORD_BITS};
 use crate::error::MeasureError;
+use crate::estimator::ProbabilityEstimator;
 
 /// Version tag of the [`PathObservations`] textual (debug) wire format.
 pub const WIRE_FORMAT: &str = "netcorr-path-observations v2";
@@ -17,52 +18,41 @@ pub const BINARY_MAGIC: &[u8; 8] = b"NCOBSv3\n";
 /// The outcome of an experiment: for every snapshot, the congestion status
 /// (`true` = congested) of every measurement path.
 ///
-/// Observations are stored **bit-packed in two layouts at once**:
-///
-/// * *path-major lanes* ([`BitLanes`]) — one packed bit-vector per path,
-///   one bit per snapshot. Marginal and joint path queries
-///   (`P(Y_i = 0)`, `P(Y_i = 0, Y_j = 0)`) reduce to AND/popcount over
-///   `u64` words, 64 snapshots at a time.
-/// * *snapshot-major rows* ([`BitMatrix`]) — one packed row per snapshot.
-///   Exact-state queries (`P(ψ(S) = ψ(A))`, `P(ψ(S) = ∅)`) reduce to
-///   word-equality of each row against a packed target mask.
-///
-/// Together they cost 2 bits per path×snapshot cell — a 1500-path
-/// experiment with 4096 snapshots occupies ~1.5 MiB, 4× less than the
-/// previous one-`bool`-per-cell layout while answering every estimator
-/// query ~64× faster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Observations are stored as **path-major packed lanes** ([`BitLanes`]):
+/// one packed bit-vector per path, one bit per snapshot — 1 bit per
+/// path×snapshot cell, so a 1500-path experiment with 4096 snapshots
+/// occupies ~750 KiB. Every estimator query reduces to word-level
+/// AND/popcount sweeps over those lanes, 64 snapshots at a time (see
+/// [`ProbabilityEstimator`]), and the lanes are exactly the payload of
+/// the binary wire format.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathObservations {
-    num_paths: usize,
-    /// Path-major packed view: lane `p` holds path `p`'s bits.
+    /// Lane `p` holds path `p`'s bits.
     lanes: BitLanes,
-    /// Snapshot-major packed view: row `s` holds snapshot `s`'s bits.
-    rows: BitMatrix,
+}
+
+impl From<BitLanes> for PathObservations {
+    /// Wraps packed lanes: lane `p` becomes path `p`.
+    fn from(lanes: BitLanes) -> Self {
+        PathObservations { lanes }
+    }
 }
 
 impl PathObservations {
     /// Creates an empty observation container for `num_paths` paths.
     pub fn new(num_paths: usize) -> Self {
-        PathObservations {
-            num_paths,
-            lanes: BitLanes::new(num_paths),
-            rows: BitMatrix::new(num_paths),
-        }
+        BitLanes::new(num_paths).into()
     }
 
     /// Creates an empty container with capacity pre-allocated for
     /// `snapshots` snapshots.
     pub fn with_capacity(num_paths: usize, snapshots: usize) -> Self {
-        PathObservations {
-            num_paths,
-            lanes: BitLanes::with_capacity(num_paths, snapshots),
-            rows: BitMatrix::with_capacity(num_paths, snapshots),
-        }
+        BitLanes::with_capacity(num_paths, snapshots).into()
     }
 
     /// Number of paths per snapshot.
     pub fn num_paths(&self) -> usize {
-        self.num_paths
+        self.lanes.num_lanes()
     }
 
     /// Number of snapshots recorded so far.
@@ -77,14 +67,13 @@ impl PathObservations {
 
     /// Records one snapshot: `congested[i]` is the status of path `i`.
     pub fn record_snapshot(&mut self, congested: &[bool]) -> Result<(), MeasureError> {
-        if congested.len() != self.num_paths {
+        if congested.len() != self.num_paths() {
             return Err(MeasureError::WrongSnapshotWidth {
-                expected: self.num_paths,
+                expected: self.num_paths(),
                 actual: congested.len(),
             });
         }
         self.lanes.push_slot(congested);
-        self.rows.push_row(congested);
         Ok(())
     }
 
@@ -95,7 +84,7 @@ impl PathObservations {
     ///
     /// Panics if the snapshot index is out of range.
     pub fn snapshot(&self, snapshot: usize) -> Vec<bool> {
-        self.rows.row_bools(snapshot)
+        self.lanes.slot(snapshot)
     }
 
     /// Whether `path` was congested during `snapshot`.
@@ -104,78 +93,51 @@ impl PathObservations {
     ///
     /// Panics if either index is out of range.
     pub fn is_congested(&self, snapshot: usize, path: PathId) -> bool {
-        self.rows.get(snapshot, path.index())
+        self.lanes.get(path.index(), snapshot)
     }
 
     /// The set of congested paths during `snapshot`, in increasing path
     /// order.
     pub fn congested_paths(&self, snapshot: usize) -> Vec<PathId> {
-        let mut paths = Vec::new();
-        for (word_idx, &word) in self.rows.row_words(snapshot).iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                paths.push(PathId(word_idx * crate::bitset::WORD_BITS + bit));
-                bits &= bits - 1;
-            }
-        }
-        paths
+        self.snapshot(snapshot)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, congested)| congested)
+            .map(|(path, _)| PathId(path))
+            .collect()
     }
 
     /// Fraction of snapshots during which `path` was congested (its
     /// empirical `P(Y = 1)`).
     pub fn congestion_frequency(&self, path: PathId) -> Result<f64, MeasureError> {
-        if self.is_empty() {
-            return Err(MeasureError::NoSnapshots);
-        }
-        if path.index() >= self.num_paths {
-            return Err(MeasureError::UnknownPath {
-                index: path.index(),
-                num_paths: self.num_paths,
-            });
-        }
-        let congested = self.lanes.count_ones(path.index());
-        Ok(congested as f64 / self.num_snapshots() as f64)
+        self.view().prob_path_congested(path)
     }
 
     /// Iterates over snapshots as unpacked Boolean vectors.
     pub fn snapshots(&self) -> impl Iterator<Item = Vec<bool>> + '_ {
-        (0..self.num_snapshots()).map(|s| self.rows.row_bools(s))
+        (0..self.num_snapshots()).map(|s| self.lanes.slot(s))
     }
 
     /// Paths that were congested during at least one snapshot — the
     /// "potentially congested" notion is defined over *links*, but this
     /// per-path view is what it is derived from.
     pub fn ever_congested_paths(&self) -> Vec<PathId> {
-        (0..self.num_paths)
-            .filter(|&p| self.lanes.lane(p).iter().any(|&w| w != 0))
-            .map(PathId)
-            .collect()
+        self.view().ever_congested_paths()
     }
 
     /// Appends every snapshot of `other` after this container's
-    /// snapshots — the shard-merge operation. When this container ends on
-    /// a word boundary (the shard splitter guarantees it for every
-    /// boundary but the last), both packed views are merged by word-level
-    /// copies; otherwise the snapshots are replayed bit by bit.
+    /// snapshots — the shard-merge operation. Each lane is merged by
+    /// word-level copies ([`BitLanes::concat`]); at a boundary that is
+    /// not a multiple of 64 the appended words are shift-merged into the
+    /// tail word.
     pub fn concat(&mut self, other: &PathObservations) -> Result<(), MeasureError> {
-        if other.num_paths != self.num_paths {
+        if other.num_paths() != self.num_paths() {
             return Err(MeasureError::WrongSnapshotWidth {
-                expected: self.num_paths,
-                actual: other.num_paths,
+                expected: self.num_paths(),
+                actual: other.num_paths(),
             });
         }
-        if self
-            .num_snapshots()
-            .is_multiple_of(crate::bitset::WORD_BITS)
-        {
-            self.lanes.concat(&other.lanes);
-            self.rows.concat(&other.rows);
-        } else {
-            for snapshot in other.snapshots() {
-                self.record_snapshot(&snapshot)?;
-            }
-        }
+        self.lanes.concat(&other.lanes);
         Ok(())
     }
 
@@ -185,9 +147,11 @@ impl PathObservations {
         &self.lanes
     }
 
-    /// The snapshot-major packed rows (one word slice per snapshot).
-    pub fn rows(&self) -> &BitMatrix {
-        &self.rows
+    /// The estimator over these observations' lanes. Unlike
+    /// [`ProbabilityEstimator::new`] this accepts an empty store, whose
+    /// probability queries then return [`MeasureError::NoSnapshots`].
+    pub fn view(&self) -> ProbabilityEstimator<'_> {
+        ProbabilityEstimator::from_lanes(self.lanes.as_view())
     }
 
     /// Serializes the observations into the versioned, line-oriented wire
@@ -207,12 +171,12 @@ impl PathObservations {
     /// placeholders so the format stays line-parseable.
     pub fn to_wire(&self) -> String {
         let used = self.num_snapshots().div_ceil(64);
-        let mut out = String::with_capacity(64 + self.num_paths * (6 + 16 * used));
+        let mut out = String::with_capacity(64 + self.num_paths() * (6 + 16 * used));
         out.push_str(WIRE_FORMAT);
         out.push('\n');
-        out.push_str(&format!("paths {}\n", self.num_paths));
+        out.push_str(&format!("paths {}\n", self.num_paths()));
         out.push_str(&format!("snapshots {}\n", self.num_snapshots()));
-        for path in 0..self.num_paths {
+        for path in 0..self.num_paths() {
             out.push_str("lane ");
             if used == 0 {
                 out.push('-');
@@ -297,10 +261,9 @@ impl PathObservations {
         Self::from_lane_word_data(num_paths, num_snapshots, &words)
     }
 
-    /// Builds a container from validated lane words (`num_paths`
-    /// consecutive groups of `⌈num_snapshots/64⌉` words): the lane view is
-    /// loaded by word-level copy, the snapshot-major row view is rebuilt
-    /// by transposition.
+    /// Builds a container from lane words (`num_paths` consecutive groups
+    /// of `⌈num_snapshots/64⌉` words), loaded by word-level copy after the
+    /// word-count and zero-tail checks.
     fn from_lane_word_data(
         num_paths: usize,
         num_snapshots: usize,
@@ -315,20 +278,7 @@ impl PathObservations {
             }
             return Ok(PathObservations::new(num_paths));
         }
-        let lanes = BitLanes::try_from_lane_words(num_paths, num_snapshots, words)?;
-        let mut rows = BitMatrix::with_capacity(num_paths, num_snapshots);
-        let mut snapshot = vec![false; num_paths];
-        for s in 0..num_snapshots {
-            for (p, bit) in snapshot.iter_mut().enumerate() {
-                *bit = lanes.get(p, s);
-            }
-            rows.push_row(&snapshot);
-        }
-        Ok(PathObservations {
-            num_paths,
-            lanes,
-            rows,
-        })
+        Ok(BitLanes::try_from_lane_words(num_paths, num_snapshots, words)?.into())
     }
 
     /// Serializes the observations into the binary wire format
@@ -344,22 +294,13 @@ impl PathObservations {
     /// [`PathObservations::to_wire`] format stays as the debuggable
     /// variant.
     pub fn to_binary(&self) -> Vec<u8> {
-        let used = self.num_snapshots().div_ceil(crate::bitset::WORD_BITS);
-        let mut out = Vec::with_capacity(24 + self.num_paths * used * 8);
-        out.extend_from_slice(BINARY_MAGIC);
-        out.extend_from_slice(&(self.num_paths as u64).to_le_bytes());
-        out.extend_from_slice(&(self.num_snapshots() as u64).to_le_bytes());
-        for path in 0..self.num_paths {
-            for &word in &self.lanes.lane(path)[..used] {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-        out
+        binary_from_segments(self.num_paths(), &[self.lanes.as_view()])
+            .expect("a store's lanes all share its path count")
     }
 
     /// Parses the binary wire format produced by
     /// [`PathObservations::to_binary`]. The lane words are copied straight
-    /// into the packed lane view; only the redundant row view is rebuilt.
+    /// into the packed lanes.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, MeasureError> {
         let (num_paths, num_snapshots) = parse_binary_header(bytes)?;
         let words: Vec<u64> = bytes[BINARY_HEADER_LEN..]
@@ -368,6 +309,47 @@ impl PathObservations {
             .collect();
         Self::from_lane_word_data(num_paths, num_snapshots, &words)
     }
+}
+
+/// Serializes lane segments, concatenated in order, as one v3 binary
+/// block (see [`PathObservations::to_binary`]) in a single pass: each
+/// output lane is assembled from the segments' lanes with
+/// [`shift_merge`] and written straight out, so no segment is copied
+/// into an owned store first. This is how a history made of a mapped
+/// base, an owned delta and an incoming block is persisted.
+///
+/// Errors with [`MeasureError::WrongSnapshotWidth`] if a segment does not
+/// have `num_paths` lanes.
+pub(crate) fn binary_from_segments(
+    num_paths: usize,
+    segments: &[BitLanesView<'_>],
+) -> Result<Vec<u8>, MeasureError> {
+    if let Some(segment) = segments.iter().find(|s| s.num_lanes() != num_paths) {
+        return Err(MeasureError::WrongSnapshotWidth {
+            expected: num_paths,
+            actual: segment.num_lanes(),
+        });
+    }
+    let total: usize = segments.iter().map(BitLanesView::num_slots).sum();
+    let used = total.div_ceil(WORD_BITS);
+    let mut out = Vec::with_capacity(BINARY_HEADER_LEN + num_paths * used * 8);
+    out.extend_from_slice(BINARY_MAGIC);
+    out.extend_from_slice(&(num_paths as u64).to_le_bytes());
+    out.extend_from_slice(&(total as u64).to_le_bytes());
+    let mut lane = Vec::with_capacity(used);
+    for path in 0..num_paths {
+        lane.clear();
+        lane.resize(used, 0);
+        let mut offset = 0;
+        for segment in segments {
+            shift_merge(&mut lane, offset, segment.lane(path));
+            offset += segment.num_slots();
+        }
+        for word in &lane {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    Ok(out)
 }
 
 /// Length of the fixed v3 header: [`BINARY_MAGIC`] plus two little-endian
@@ -413,18 +395,6 @@ pub fn parse_binary_header(bytes: &[u8]) -> Result<(usize, usize), MeasureError>
     }
     Ok((num_paths, num_snapshots))
 }
-
-impl PartialEq for PathObservations {
-    /// Logical equality: same paths, same snapshots, same bits (the two
-    /// packed views are redundant, so comparing the row view suffices).
-    fn eq(&self, other: &Self) -> bool {
-        self.num_paths == other.num_paths
-            && self.num_snapshots() == other.num_snapshots()
-            && self.rows == other.rows
-    }
-}
-
-impl Eq for PathObservations {}
 
 #[cfg(test)]
 mod tests {
@@ -522,8 +492,10 @@ mod tests {
     fn packed_views_agree() {
         let obs = sample_observations();
         for s in 0..obs.num_snapshots() {
+            let snapshot = obs.snapshot(s);
             for p in 0..obs.num_paths() {
-                assert_eq!(obs.lanes().get(p, s), obs.rows().get(s, p));
+                assert_eq!(obs.lanes().get(p, s), snapshot[p]);
+                assert_eq!(obs.is_congested(s, PathId(p)), snapshot[p]);
             }
         }
     }
@@ -561,10 +533,11 @@ mod tests {
             }
             left.concat(&right).unwrap();
             assert_eq!(left, whole);
-            // Both packed views stay in sync.
+            // The merged lanes unpack to the recorded snapshots.
             for s in 0..200 {
+                let snapshot = whole.snapshot(s);
                 for p in 0..2 {
-                    assert_eq!(left.lanes().get(p, s), whole.rows().get(s, p));
+                    assert_eq!(left.lanes().get(p, s), snapshot[p]);
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Streaming (online) probability estimation with O(1) queries.
 //!
 //! [`crate::ProbabilityEstimator`] answers every query by scanning packed
-//! lanes or rows — cheap (64 snapshots per word), but still linear in the
+//! lanes — cheap (64 snapshots per word), but still linear in the
 //! experiment length, and long-running deployments re-pay that scan on
 //! every re-estimation. [`StreamingEstimator`] instead maintains
 //! *accumulators* that are updated as each snapshot arrives:
@@ -19,11 +19,12 @@
 //! so they can be registered before the first snapshot arrives. Each
 //! [`StreamingEstimator::push_snapshot`] then costs
 //! `O(paths + pairs + patterns · ⌈paths/64⌉)` — every accumulator is
-//! updated in O(1) (patterns in O(words-per-row), one packed-row compare)
-//! — and every registered query is an O(1) counter read, **no lane scan**.
-//! Registering after snapshots have already been recorded is allowed and
-//! performs a one-time catch-up scan through the SIMD kernels, so
-//! registration order never changes results.
+//! updated in O(1) (patterns in O(⌈paths/64⌉): the pushed row is packed
+//! once into a reused word buffer and compared word by word against each
+//! pattern's mask) — and every registered query is an O(1) counter read,
+//! **no lane scan**. Registering after snapshots have already been
+//! recorded is allowed and performs a one-time catch-up sweep over the
+//! lanes, so registration order never changes results.
 //!
 //! The estimator also keeps the full bit-packed [`PathObservations`]
 //! store, so ad-hoc queries outside the registered set can always fall
@@ -36,23 +37,24 @@
 //! A freshly built estimator can *attach* a memory-mapped observation
 //! file ([`StreamingEstimator::attach_history`]) as an immutable **base
 //! segment**: every accumulator is seeded from the mapped lanes through
-//! the same SIMD kernels a live run would have used, so the counters —
+//! the same lane sweeps a live run would have used, so the counters —
 //! and therefore every probability — are bit-identical to an estimator
 //! that streamed those snapshots one by one. New snapshots accumulate in
 //! the owned **delta** store on top;
 //! [`StreamingEstimator::history_binary`] re-serializes base ++ delta as
-//! one v3 block for the next persist/restart cycle. This is how the
+//! one v3 block for the next persist/restart cycle, in a single pass that
+//! never copies the mapped base into an owned store. This is how the
 //! `netcorr-serve` daemon reloads weeks of history in microseconds.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::simd;
+use crate::bitset::{set_bits, words_for};
 use crate::error::MeasureError;
 use crate::estimator::ProbabilityEstimator;
 use crate::mapped::MappedObservations;
-use crate::observation::PathObservations;
+use crate::observation::{binary_from_segments, PathObservations};
 
 /// Normalized pair key: the two path ids in increasing order.
 fn pair_key(a: PathId, b: PathId) -> (PathId, PathId) {
@@ -86,6 +88,9 @@ pub struct StreamingEstimator {
     pattern_masks: Vec<Vec<u64>>,
     /// Per-registered-pattern exact-match counts.
     pattern_matches: Vec<u64>,
+    /// The last pushed snapshot packed like a pattern mask; reused across
+    /// pushes so matching allocates nothing.
+    packed_row: Vec<u64>,
 }
 
 impl StreamingEstimator {
@@ -108,29 +113,21 @@ impl StreamingEstimator {
             pattern_index: BTreeMap::new(),
             pattern_masks: Vec::new(),
             pattern_matches: Vec::new(),
+            packed_row: vec![0; words_for(num_paths)],
         }
     }
 
     /// Wraps an already-recorded observation store, initialising the
     /// path-level accumulators from its lanes (one popcount per lane).
     pub fn from_observations(observations: PathObservations) -> Self {
-        let congested: Vec<u64> = (0..observations.num_paths())
-            .map(|p| observations.lanes().count_ones(p) as u64)
-            .collect();
-        let rows = observations.rows();
-        let all_good = simd::count_zero_rows(rows.words(), rows.words_per_row()) as u64;
-        StreamingEstimator {
-            congested,
-            all_good,
-            observations,
-            base: None,
-            pairs: Vec::new(),
-            pair_index: BTreeMap::new(),
-            pair_good: Vec::new(),
-            pattern_index: BTreeMap::new(),
-            pattern_masks: Vec::new(),
-            pattern_matches: Vec::new(),
+        let mut estimator = Self::new(observations.num_paths());
+        let view = observations.view();
+        for (p, count) in estimator.congested.iter_mut().enumerate() {
+            *count = view.lanes().count_ones(p) as u64;
         }
+        estimator.all_good = view.all_paths_good_count() as u64;
+        estimator.observations = observations;
+        estimator
     }
 
     /// Number of paths per snapshot.
@@ -185,6 +182,17 @@ impl StreamingEstimator {
         ProbabilityEstimator::new(&self.observations)
     }
 
+    /// The attached base segment (if any) and the owned delta, each as an
+    /// estimator over its own lanes. A count over the full history is the
+    /// sum of the per-segment counts.
+    fn segments(&self) -> impl Iterator<Item = ProbabilityEstimator<'_>> {
+        self.base
+            .as_ref()
+            .map(MappedObservations::view)
+            .into_iter()
+            .chain([self.observations.view()])
+    }
+
     /// The attached mapped history segment, if any.
     pub fn base(&self) -> Option<&MappedObservations> {
         self.base.as_ref()
@@ -197,12 +205,11 @@ impl StreamingEstimator {
     }
 
     /// Attaches a mapped observation file as the immutable **base
-    /// segment** and seeds every accumulator from its lanes through the
-    /// SIMD kernels, making the estimator bit-identical to one that
-    /// streamed those snapshots live. Pairs and patterns may be
-    /// registered before or after attaching — both orders catch up
-    /// through the same kernels. Returns the number of history snapshots
-    /// absorbed.
+    /// segment** and seeds every accumulator from its lanes, making the
+    /// estimator bit-identical to one that streamed those snapshots live.
+    /// Pairs and patterns may be registered before or after attaching —
+    /// both orders catch up through the same lane sweeps. Returns the
+    /// number of history snapshots absorbed.
     ///
     /// Errors with [`MeasureError::History`] if a segment is already
     /// attached or snapshots have already been pushed, and with
@@ -230,8 +237,7 @@ impl StreamingEstimator {
         for (p, count) in self.congested.iter_mut().enumerate() {
             *count = view.lanes().count_ones(p) as u64;
         }
-        let all_paths: Vec<PathId> = (0..self.num_paths()).map(PathId).collect();
-        self.all_good = view.all_good_count(&all_paths)? as u64;
+        self.all_good = view.all_paths_good_count() as u64;
         for (&(a, b), count) in self.pairs.iter().zip(&mut self.pair_good) {
             *count = view.all_good_count(&[a, b])? as u64;
         }
@@ -249,13 +255,28 @@ impl StreamingEstimator {
     /// [`StreamingEstimator::attach_history`] on restart. Without a base
     /// segment this is simply the owned store's serialization.
     pub fn history_binary(&self) -> Vec<u8> {
-        match &self.base {
-            Some(base) => base
-                .view()
-                .merged_binary(&self.observations)
-                .expect("base and delta share the path count by construction"),
-            None => self.observations.to_binary(),
-        }
+        self.serialize_history(None)
+            .expect("base and delta share the path count by construction")
+    }
+
+    /// The full history as it will be once `block` is pushed — base,
+    /// delta and `block` serialized as one v3 binary block in a single
+    /// pass, without touching the estimator. This is what a persisting
+    /// service writes *before* it acknowledges and ingests the block.
+    ///
+    /// Errors with [`MeasureError::WrongSnapshotWidth`] if `block` covers
+    /// a different number of paths.
+    pub fn history_binary_with(&self, block: &PathObservations) -> Result<Vec<u8>, MeasureError> {
+        self.serialize_history(Some(block))
+    }
+
+    fn serialize_history(&self, block: Option<&PathObservations>) -> Result<Vec<u8>, MeasureError> {
+        let segments: Vec<_> = self
+            .segments()
+            .map(|segment| segment.lanes())
+            .chain(block.map(|b| b.lanes().as_view()))
+            .collect();
+        binary_from_segments(self.num_paths(), &segments)
     }
 
     /// The registered pairs, in registration-independent normalized order.
@@ -297,21 +318,10 @@ impl StreamingEstimator {
         if let Some(&handle) = self.pair_index.get(&key) {
             return Ok(handle);
         }
-        let base_count = match &self.base {
-            Some(base) => base.view().all_good_count(&[key.0, key.1])? as u64,
-            None => 0,
-        };
-        let lanes = self.observations.lanes();
-        let delta_count = if self.observations.is_empty() {
-            0
-        } else {
-            simd::pair_good_count(
-                lanes.lane(key.0.index()),
-                lanes.lane(key.1.index()),
-                lanes.last_word_mask(),
-            ) as u64
-        };
-        let count = base_count + delta_count;
+        let count = self
+            .segments()
+            .map(|segment| segment.all_good_count(&[key.0, key.1]))
+            .sum::<Result<usize, _>>()? as u64;
         let handle = self.pair_good.len();
         self.pair_index.insert(key, handle);
         self.pairs.push(key);
@@ -338,8 +348,8 @@ impl StreamingEstimator {
 
     /// Registers an exact congestion pattern for O(1)
     /// `P(ψ(S) = ψ(A))` queries. Idempotent. If snapshots were already
-    /// recorded, the match count is initialised with one catch-up kernel
-    /// sweep over the packed rows.
+    /// recorded, the match count is initialised with one catch-up sweep
+    /// over the lanes.
     pub fn register_pattern(&mut self, pattern: &BTreeSet<PathId>) -> Result<(), MeasureError> {
         for &p in pattern {
             self.check_path(p)?;
@@ -347,14 +357,12 @@ impl StreamingEstimator {
         if self.pattern_index.contains_key(pattern) {
             return Ok(());
         }
-        let base_count = match &self.base {
-            Some(base) => base.view().pattern_count(pattern)? as u64,
-            None => 0,
-        };
-        let rows = self.observations.rows();
-        let mask = rows.pack_mask(pattern.iter().map(|p| p.index()));
-        let delta_count = simd::count_equal_rows(rows.words(), rows.words_per_row(), &mask) as u64;
-        let count = base_count + delta_count;
+        let count = self
+            .segments()
+            .map(|segment| segment.pattern_count(pattern))
+            .sum::<Result<usize, _>>()? as u64;
+        let mut mask = vec![0; self.packed_row.len()];
+        set_bits(&mut mask, pattern.iter().map(|p| p.index()));
         self.pattern_index
             .insert(pattern.clone(), self.pattern_matches.len());
         self.pattern_masks.push(mask);
@@ -364,7 +372,7 @@ impl StreamingEstimator {
 
     /// Records one snapshot and updates every accumulator:
     /// `O(paths)` for the store and the marginals, O(1) per registered
-    /// pair, and one packed-row compare per registered pattern.
+    /// pair, and one packed-word compare per registered pattern.
     pub fn push_snapshot(&mut self, congested: &[bool]) -> Result<(), MeasureError> {
         self.observations.record_snapshot(congested)?;
         let mut any = false;
@@ -377,10 +385,17 @@ impl StreamingEstimator {
             *count += (!congested[a.index()] && !congested[b.index()]) as u64;
         }
         if !self.pattern_masks.is_empty() {
-            let rows = self.observations.rows();
-            let row = rows.row_words(rows.num_rows() - 1);
+            self.packed_row.fill(0);
+            set_bits(
+                &mut self.packed_row,
+                congested
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c)
+                    .map(|(p, _)| p),
+            );
             for (mask, count) in self.pattern_masks.iter().zip(&mut self.pattern_matches) {
-                if row == mask.as_slice() {
+                if *mask == self.packed_row {
                     *count += 1;
                 }
             }
@@ -554,7 +569,7 @@ mod tests {
         );
         assert_eq!(
             est.prob_all_paths_good().unwrap(),
-            batch.prob_all_paths_good()
+            batch.prob_all_paths_good().unwrap()
         );
         let pattern = BTreeSet::from([PathId(0), PathId(1)]);
         assert_eq!(

@@ -6,10 +6,13 @@
 //!   dispatcher) must agree bit-exactly with each other and with scalar
 //!   counting — the AVX-512 assertions run only where the host supports
 //!   `avx512f` + `avx512vpopcntdq` and skip cleanly elsewhere;
-//! * the zero-copy memory tier ([`ObservationsView`] borrowed from the
-//!   heap, parsed in place from a v3 block, or served from a mapped
-//!   file) must agree bit-exactly with the owning estimator on every
-//!   query family;
+//! * the one [`ProbabilityEstimator`] must agree bit-exactly with the
+//!   scalar reference on every query family whichever memory tier backs
+//!   its lanes: a heap-owned store, a v3 block parsed in place, or a
+//!   memory-mapped file;
+//! * concatenating packed stores at any split, and serializing a history
+//!   split into base, delta and incoming block, must equal replaying the
+//!   snapshots one by one;
 //! * the [`StreamingEstimator`]'s accumulators must agree bit-exactly
 //!   with the batch estimator at **every prefix** of an interleaved
 //!   push/query sequence.
@@ -31,8 +34,7 @@ use std::collections::BTreeSet;
 use netcorr_measure::bitset::simd;
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
 use netcorr_measure::{
-    MappedObservations, ObservationsView, PathObservations, ProbabilityEstimator,
-    StreamingEstimator,
+    MappedObservations, PathObservations, ProbabilityEstimator, StreamingEstimator,
 };
 use netcorr_topology::path::PathId;
 use proptest::prelude::*;
@@ -134,7 +136,7 @@ proptest! {
         let (packed, scalar) = build_both(paths, snapshots, &cells);
         let packed_est = ProbabilityEstimator::new(&packed).unwrap();
         let scalar_est = ScalarEstimator::new(&scalar).unwrap();
-        prop_assert_eq!(packed_est.prob_all_paths_good(), scalar_est.prob_all_paths_good());
+        prop_assert_eq!(packed_est.prob_all_paths_good().unwrap(), scalar_est.prob_all_paths_good());
     }
 
     #[test]
@@ -217,93 +219,53 @@ proptest! {
             }
         }
 
-        // Families 3–4: row kernels against scalar row scans.
-        let rows = packed.rows();
+        // Families 3–4: the all-lanes sweep and the exact-pattern sweep
+        // against scalar row scans.
+        let est = packed.view();
         let zero_expected = (0..snapshots)
             .filter(|&s| (0..paths).all(|p| !cell(s, p)))
             .count();
-        prop_assert_eq!(simd::count_zero_rows(rows.words(), rows.words_per_row()), zero_expected);
-        prop_assert_eq!(
-            simd::count_zero_rows_portable(rows.words(), rows.words_per_row()),
-            zero_expected
-        );
-        if let Some(avx2) = simd::count_zero_rows_avx2(rows.words(), rows.words_per_row()) {
-            prop_assert_eq!(avx2, zero_expected);
-        }
-        if let Some(avx512) = simd::count_zero_rows_avx512(rows.words(), rows.words_per_row()) {
-            prop_assert_eq!(avx512, zero_expected);
-        }
-        let target: Vec<usize> = (0..paths).filter(|p| selector >> ((p + 7) % 64) & 1 == 1).collect();
-        let mask = rows.pack_mask(target.iter().copied());
+        prop_assert_eq!(est.all_paths_good_count(), zero_expected);
+        let target: BTreeSet<PathId> = (0..paths)
+            .filter(|p| selector >> ((p + 7) % 64) & 1 == 1)
+            .map(PathId)
+            .collect();
         let eq_expected = (0..snapshots)
-            .filter(|&s| (0..paths).all(|p| cell(s, p) == target.contains(&p)))
+            .filter(|&s| (0..paths).all(|p| cell(s, p) == target.contains(&PathId(p))))
             .count();
-        prop_assert_eq!(
-            simd::count_equal_rows(rows.words(), rows.words_per_row(), &mask),
-            eq_expected
-        );
-        prop_assert_eq!(
-            simd::count_equal_rows_portable(rows.words(), rows.words_per_row(), &mask),
-            eq_expected
-        );
-        if let Some(avx2) = simd::count_equal_rows_avx2(rows.words(), rows.words_per_row(), &mask) {
-            prop_assert_eq!(avx2, eq_expected);
-        }
-        if let Some(avx512) =
-            simd::count_equal_rows_avx512(rows.words(), rows.words_per_row(), &mask)
-        {
-            prop_assert_eq!(avx512, eq_expected);
-        }
-        let masks = vec![mask, vec![0u64; rows.words_per_row()]];
-        let mut counts = vec![0usize; 2];
-        simd::match_rows_batch(rows.words(), rows.words_per_row(), &masks, &mut counts);
-        prop_assert_eq!(&counts, &vec![eq_expected, zero_expected]);
-        let mut portable_counts = vec![0usize; 2];
-        simd::match_rows_batch_portable(
-            rows.words(),
-            rows.words_per_row(),
-            &masks,
-            &mut portable_counts,
-        );
-        prop_assert_eq!(&portable_counts, &counts);
-        let mut avx2_counts = vec![0usize; 2];
-        if simd::match_rows_batch_avx2(rows.words(), rows.words_per_row(), &masks, &mut avx2_counts)
-        {
-            prop_assert_eq!(&avx2_counts, &counts);
-        }
-        let mut avx512_counts = vec![0usize; 2];
-        if simd::match_rows_batch_avx512(
-            rows.words(),
-            rows.words_per_row(),
-            &masks,
-            &mut avx512_counts,
-        ) {
-            prop_assert_eq!(&avx512_counts, &counts);
-        }
+        prop_assert_eq!(est.pattern_count(&target).unwrap(), eq_expected);
+        prop_assert_eq!(est.pattern_count(&BTreeSet::new()).unwrap(), zero_expected);
     }
 
     #[test]
-    fn zero_copy_views_agree_with_the_owning_estimator(
+    fn one_estimator_agrees_with_reference_on_every_tier(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
         cells in cell_pool(),
         selector in 0u64..u64::MAX,
     ) {
-        let (packed, _) = build_both(paths, snapshots, &cells);
-        let owning = ProbabilityEstimator::new(&packed).unwrap();
+        let (packed, scalar) = build_both(paths, snapshots, &cells);
+        let reference = ScalarEstimator::new(&scalar).unwrap();
 
-        // Three routes into the zero-copy tier: a borrow of the owned
-        // store, and a memory-mapped v3 file (with its heap-read control
-        // arm) — all must answer every query family bit-identically.
+        // The same lanes from every memory tier: the heap-owned store, a
+        // v3 block parsed in place, and a memory-mapped file (with its
+        // heap-read control arm).
+        let block = packed.to_binary();
+        let mut aligned = vec![0u64; block.len().div_ceil(8)];
+        // SAFETY: a `u64` buffer is a valid, 8-aligned byte buffer of 8×
+        // its length.
+        let bytes = unsafe { &mut aligned.align_to_mut::<u8>().1[..block.len()] };
+        bytes.copy_from_slice(&block);
         let file = std::env::temp_dir().join(format!(
-            "netcorr_differential_view_{}",
+            "netcorr_differential_tiers_{}",
             std::process::id()
         ));
-        std::fs::write(&file, packed.to_binary()).unwrap();
+        std::fs::write(&file, &block).unwrap();
         let mapped = MappedObservations::open(&file).unwrap();
         let heap_read = MappedObservations::open_heap(&file).unwrap();
-        let views = [
-            ObservationsView::from_observations(&packed),
+        let tiers = [
+            ProbabilityEstimator::new(&packed).unwrap(),
+            ProbabilityEstimator::parse(bytes).unwrap(),
             mapped.view(),
             heap_read.view(),
         ];
@@ -315,58 +277,104 @@ proptest! {
             }
         }
         let all: Vec<PathId> = (0..paths).map(PathId).collect();
-        let pattern: BTreeSet<PathId> = (0..paths)
-            .filter(|p| selector >> (p % 64) & 1 == 1)
-            .map(PathId)
-            .collect();
-        let patterns = [BTreeSet::new(), pattern];
+        let mut patterns: Vec<BTreeSet<PathId>> = vec![
+            BTreeSet::new(),
+            (0..paths)
+                .filter(|p| selector >> (p % 64) & 1 == 1)
+                .map(PathId)
+                .collect(),
+        ];
+        patterns.push(packed.congested_paths(snapshots - 1).into_iter().collect());
 
-        for view in views {
-            prop_assert_eq!(view.num_snapshots(), snapshots);
-            prop_assert_eq!(view.probability_floor(), owning.probability_floor());
+        for est in tiers {
+            prop_assert_eq!(est.num_snapshots(), snapshots);
+            prop_assert_eq!(est.probability_floor(), reference.probability_floor());
+            // Family 1: single-path marginals.
             for p in 0..paths {
                 prop_assert_eq!(
-                    view.prob_path_good(PathId(p)).unwrap(),
-                    owning.prob_path_good(PathId(p)).unwrap()
+                    est.prob_path_good(PathId(p)).unwrap(),
+                    reference.prob_path_good(PathId(p)).unwrap()
                 );
                 prop_assert_eq!(
-                    view.prob_path_congested(PathId(p)).unwrap(),
-                    owning.prob_path_congested(PathId(p)).unwrap()
+                    est.prob_path_congested(PathId(p)).unwrap(),
+                    reference.prob_path_congested(PathId(p)).unwrap()
                 );
             }
-            prop_assert_eq!(
-                view.prob_pairs_good(&pairs).unwrap(),
-                owning.prob_pairs_good(&pairs).unwrap()
-            );
-            prop_assert_eq!(
-                view.log_prob_pairs_good(&pairs).unwrap(),
-                owning.log_prob_pairs_good(&pairs).unwrap()
-            );
-            prop_assert_eq!(
-                view.prob_paths_good(&all).unwrap(),
-                owning.prob_paths_good(&all).unwrap()
-            );
-            prop_assert_eq!(
-                view.log_prob_paths_good(&all).unwrap(),
-                owning.log_prob_paths_good(&all).unwrap()
-            );
-            prop_assert_eq!(
-                view.prob_all_paths_good().unwrap(),
-                owning.prob_all_paths_good()
-            );
-            for pattern in &patterns {
-                prop_assert_eq!(
-                    view.prob_exactly_congested(pattern).unwrap(),
-                    owning.prob_exactly_congested(pattern).unwrap()
-                );
+            // Family 2: joint goodness, single and batch.
+            let batch = est.prob_pairs_good(&pairs).unwrap();
+            let log_batch = est.log_prob_pairs_good(&pairs).unwrap();
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                prop_assert_eq!(batch[i], reference.prob_paths_good(&[a, b]).unwrap());
+                prop_assert_eq!(log_batch[i], reference.log_prob_paths_good(&[a, b]).unwrap());
             }
             prop_assert_eq!(
-                view.prob_exactly_congested_batch(&patterns).unwrap(),
-                owning.prob_exactly_congested_batch(&patterns).unwrap()
+                est.log_prob_paths_good(&all).unwrap(),
+                reference.log_prob_paths_good(&all).unwrap()
             );
-            prop_assert_eq!(view.ever_congested_paths(), owning.ever_congested_paths());
-            prop_assert_eq!(view.to_observations().unwrap(), packed.clone());
+            // Family 3: all paths good.
+            prop_assert_eq!(est.prob_all_paths_good().unwrap(), reference.prob_all_paths_good());
+            // Family 4: exact patterns, single and batch.
+            let batch = est.prob_exactly_congested_batch(&patterns).unwrap();
+            for (i, pattern) in patterns.iter().enumerate() {
+                let expected = reference.prob_exactly_congested(pattern).unwrap();
+                prop_assert_eq!(est.prob_exactly_congested(pattern).unwrap(), expected);
+                prop_assert_eq!(batch[i], expected);
+            }
+            prop_assert_eq!(est.ever_congested_paths(), packed.ever_congested_paths());
+            prop_assert_eq!(est.to_observations(), packed.clone());
         }
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn concat_and_history_serializer_equal_replay(
+        paths in 1usize..=MAX_PATHS,
+        snapshots in 1usize..=MAX_SNAPSHOTS,
+        cells in cell_pool(),
+        first in 0usize..=MAX_SNAPSHOTS,
+        second in 0usize..=MAX_SNAPSHOTS,
+    ) {
+        // Two random split points cut the snapshots into a base, a delta
+        // and an incoming block (any of them may be empty, and most
+        // boundaries fall mid-word).
+        let (lo, hi) = (first.min(second).min(snapshots), first.max(second).min(snapshots));
+        let replay = |range: std::ops::Range<usize>| {
+            let mut obs = PathObservations::new(paths);
+            for s in range {
+                obs.record_snapshot(&cells[s * paths..(s + 1) * paths]).unwrap();
+            }
+            obs
+        };
+        let whole = replay(0..snapshots);
+        let (base, delta, block) = (replay(0..lo), replay(lo..hi), replay(hi..snapshots));
+
+        let mut merged = base.clone();
+        merged.concat(&delta).unwrap();
+        prop_assert_eq!(&merged, &replay(0..hi));
+        merged.concat(&block).unwrap();
+        prop_assert_eq!(&merged, &whole);
+        prop_assert_eq!(merged.to_binary(), whole.to_binary());
+
+        // The history serializer over a mapped base: one pass over base,
+        // delta and block writes the bytes of the replayed store.
+        let file = std::env::temp_dir().join(format!(
+            "netcorr_differential_history_{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, base.to_binary()).unwrap();
+        let mapped = MappedObservations::open(&file).unwrap();
+        prop_assert_eq!(
+            mapped.view().merged_binary(&delta).unwrap(),
+            replay(0..hi).to_binary()
+        );
+        let mut streaming = StreamingEstimator::new(paths);
+        streaming.attach_history(mapped).unwrap();
+        for snapshot in delta.snapshots() {
+            streaming.push_snapshot(&snapshot).unwrap();
+        }
+        prop_assert_eq!(streaming.history_binary(), replay(0..hi).to_binary());
+        prop_assert_eq!(streaming.history_binary_with(&block).unwrap(), whole.to_binary());
+        prop_assert!(streaming.history_binary_with(&PathObservations::new(paths + 1)).is_err());
         std::fs::remove_file(&file).ok();
     }
 
@@ -436,7 +444,7 @@ proptest! {
             );
             prop_assert_eq!(
                 streaming.prob_all_paths_good().unwrap(),
-                batch.prob_all_paths_good()
+                batch.prob_all_paths_good().unwrap()
             );
             prop_assert_eq!(
                 streaming.prob_exactly_congested(&pattern_a).unwrap(),

@@ -27,9 +27,10 @@ fn usage() -> &'static str {
      NAME   fig1a | planetlab-smoke | brite-smoke (default: fig1a); the smoke\n\
      \x20       fixtures are regenerated deterministically from --topology-seed,\n\
      \x20       so clients can reconstruct the identical instance\n\
-     PATH   persistent observation history: every ingest durably writes the next\n\
+     PATH   persistent observation history: every ingest writes the next\n\
      \x20       checksummed generation (rotating the previous one to <PATH>.prev)\n\
-     \x20       before it is acked; on restart a clean or torn file recovers to the\n\
+     \x20       before it is acked (no fsync: an ack survives a daemon crash, not a\n\
+     \x20       power loss); on restart a clean or torn file recovers to the\n\
      \x20       last acked generation, memory-mapped (zero-copy) and attached to the\n\
      \x20       estimator, so the daemon resumes bit-identically\n\
      \n\

@@ -68,7 +68,7 @@ pub struct HistoryStatus {
     /// Size of the persisted file in bytes (payload + footer).
     pub bytes: usize,
     /// Generation counter of the persisted file: incremented by every
-    /// durable ingest, 0 for a fresh or legacy (footer-less) file.
+    /// persisted ingest, 0 for a fresh or legacy (footer-less) file.
     pub generation: u64,
     /// Whether startup had to *recover* the history — a torn or missing
     /// current file was replaced by the rotated previous generation (or
@@ -113,7 +113,7 @@ struct HistoryFile {
     bytes: usize,
     /// Snapshots in the file as of the last persist.
     snapshots: usize,
-    /// Generation of the last durable write (0 = fresh/legacy).
+    /// Generation of the last persisted write (0 = fresh/legacy).
     generation: u64,
     /// Whether startup recovered from a torn write (see
     /// [`netcorr_eval::persist::recover_history`]).
@@ -211,8 +211,10 @@ impl TomographyService {
     /// ingests.
     ///
     /// Every subsequent successful ingest rotates the current file to
-    /// `<path>.prev` and durably writes the next generation (payload +
-    /// footer) before the ingest is acknowledged.
+    /// `<path>.prev` and writes the next generation (payload + footer)
+    /// before the ingest is acknowledged. The write is not `fsync`ed: an
+    /// acked ingest survives a crash of the daemon process, not a power
+    /// loss or kernel crash that drops unflushed page-cache data.
     ///
     /// Must be called before any snapshot is ingested. Returns the
     /// number of history snapshots reloaded (0 for a fresh file).
@@ -262,31 +264,26 @@ impl TomographyService {
         }
     }
 
-    /// Durably persists the history *as it will be after* `block` is
-    /// appended, before the in-memory estimator is touched: the
-    /// prospective payload (attached base + owned delta + block) is
-    /// sealed with the next generation's footer, the current file is
-    /// rotated to `.prev`, and the new generation is written. Only a
-    /// successful write lets the ingest proceed — on failure the
+    /// Persists the history *as it will be after* `block` is appended,
+    /// before the in-memory estimator is touched: the prospective
+    /// payload (attached base + owned delta + block, serialized in one
+    /// pass) is sealed with the next generation's footer, the current
+    /// file is rotated to `.prev`, and the new generation is written.
+    /// Only a successful write lets the ingest proceed — on failure the
     /// rotation is undone and the service (memory *and* disk) still
     /// reflects exactly the previously acked generation.
+    ///
+    /// "Written" means handed to the operating system: nothing here
+    /// calls `fsync`/`sync_data`, so the generation survives a crash of
+    /// this process but not a power loss before the kernel flushes it.
     fn persist_with_block(&mut self, block: &PathObservations) -> Result<(), ServeError> {
         let Some(history) = &mut self.history else {
             return Ok(());
         };
-        let payload = {
-            let mut delta = self.estimator.observations().clone();
-            delta
-                .concat(block)
-                .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
-            match self.estimator.base() {
-                Some(base) => base
-                    .view()
-                    .merged_binary(&delta)
-                    .map_err(|e| ServeError::Persist(format!("cannot merge history: {e}")))?,
-                None => delta.to_binary(),
-            }
-        };
+        let payload = self
+            .estimator
+            .history_binary_with(block)
+            .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
         let generation = history.generation + 1;
         let sealed = persist::encode_history(&payload, generation);
         let prev = persist::history_prev_path(&history.path);
@@ -349,12 +346,13 @@ impl TomographyService {
 
     /// Ingests already-decoded observations. The ingest is
     /// **transactional**: with history enabled, the prospective history
-    /// (including this block) is durably persisted as the next
-    /// generation *first*, and only a successful write mutates the
-    /// in-memory estimator. A failed persist leaves the service —
-    /// memory and disk — exactly at the previously acked generation, so
-    /// an `OK` reply to an `OBS` request really means "this block
-    /// survives a crash".
+    /// (including this block) is written as the next generation
+    /// *first*, and only a successful write mutates the in-memory
+    /// estimator. A failed persist leaves the service — memory and disk
+    /// — exactly at the previously acked generation, so an `OK` reply to
+    /// an `OBS` request means "this block survives a crash of the daemon
+    /// process". The write is not `fsync`ed, so it does not survive a
+    /// power loss or kernel crash before the page cache is flushed.
     pub fn ingest_observations(&mut self, block: &PathObservations) -> Result<usize, ServeError> {
         if block.num_paths() != self.num_paths {
             return Err(ServeError::PathMismatch {
