@@ -13,6 +13,10 @@
 //! * `trial_threads` — end-to-end `run_experiment` wall-clock with one
 //!   trial worker vs all available workers (shards pinned to 1 so only
 //!   trial-level parallelism is measured).
+//! * `dense_l1` — one `InferenceContext::solve` on the daemon's default
+//!   plan (the minimum-L1 LP) for the planetlab-smoke and brite-smoke
+//!   topologies, with a fixed right-hand side: the solve that dominates a
+//!   daemon refresh. Prints the simplex pivots per solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -153,5 +157,43 @@ fn trial_threads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, structure_reuse, cgls, trial_threads);
+fn dense_l1(c: &mut Criterion) {
+    let mut group = c.benchmark_group("inference_dense_l1");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_millis(500));
+    for (name, family) in [
+        ("planetlab_smoke", TopologyFamily::PlanetLab),
+        ("brite_smoke", TopologyFamily::Brite),
+    ] {
+        // The daemon's `--topology <family>-smoke` instance (default
+        // topology seed 42) and default configuration.
+        let base = netcorr_bench::bench_instance(family, 42);
+        let context =
+            InferenceContext::new(&base, &AlgorithmConfig::default()).expect("context builds");
+        let fx = fixture(
+            family,
+            0.10,
+            CorrelationLevel::HighlyCorrelated,
+            0.0,
+            0.0,
+            42,
+        );
+        let estimator =
+            ProbabilityEstimator::new(&fx.observations).expect("non-empty observations");
+        let rhs = context.rhs(&estimator).expect("rhs assembles");
+        let outcome = context.solve(&rhs).expect("solve succeeds");
+        println!(
+            "inference_dense_l1/{name}: plan {:?}, {} pivots per solve",
+            context.solver_kind(),
+            outcome.iterations
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| context.solve(&rhs).expect("solve succeeds"))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, structure_reuse, cgls, trial_threads, dense_l1);
 criterion_main!(benches);

@@ -38,7 +38,11 @@ pub struct Diagnostics {
     /// Number of links that appear in no usable equation (their estimate
     /// comes purely from the regularisation / minimum-norm choice).
     pub uncovered_links: usize,
-    /// Iterations spent by the iterative solver (0 for the direct paths).
+    /// Solver iterations: CGLS iterations on the sparse path
+    /// ([`SolverKind::SparseIterative`]); simplex pivots on the
+    /// minimum-L1 path ([`SolverKind::DenseL1`]), summed over the
+    /// sign-constrained attempt and, when that is infeasible, the
+    /// free-sign fallback; 0 on the dense determined path.
     pub iterations: usize,
 }
 

@@ -30,9 +30,9 @@
 use serde::{Deserialize, Serialize};
 
 use netcorr_linalg::{
-    cgls_blocked, l1::min_l1_norm_solution, l1::min_l1_norm_solution_nonneg, norms,
-    rank::IndependentRowSelector, BlockedSparseMatrix, LinalgError, Matrix, QrDecomposition,
-    SparseMatrix,
+    cgls_blocked, min_l1_norm_program, min_l1_norm_program_nonneg, norms,
+    rank::IndependentRowSelector, BlockedSparseMatrix, LinalgError, LpStatus, Matrix,
+    QrDecomposition, SparseMatrix,
 };
 
 use crate::equations::{EquationSource, EquationSystem};
@@ -89,7 +89,9 @@ pub struct SolveOutcome {
     pub used_pair: usize,
     /// Whether fewer independent equations than unknowns were available.
     pub underdetermined: bool,
-    /// Iterations spent by the iterative solver (0 for the direct paths).
+    /// Solver iterations: CGLS iterations on the sparse path, simplex
+    /// pivots (summed over both LP attempts) on the minimum-L1 path, 0 on
+    /// the dense determined path.
     pub iterations: usize,
 }
 
@@ -175,16 +177,22 @@ pub(crate) fn solve_dense_determined(
 
 /// Dense under-determined path: exact minimum-L1-norm LP. Substitute
 /// `z = -x ≥ 0`, so the constraints become `A z = -b` with `z ≥ 0`.
+/// `iterations` counts the simplex pivots of every LP solved, including a
+/// failed sign-constrained attempt before the free-sign fallback.
 pub(crate) fn solve_dense_l1(a: &Matrix, b: &[f64]) -> Result<SolveOutcome, CoreError> {
     let neg_b: Vec<f64> = b.iter().map(|v| -v).collect();
-    let x = match min_l1_norm_solution_nonneg(a, &neg_b) {
-        Ok(z) => z.into_iter().map(|v| -v).collect::<Vec<f64>>(),
-        Err(LinalgError::Infeasible) => {
+    let nonneg = min_l1_norm_program_nonneg(a, &neg_b).map_err(CoreError::Numerical)?;
+    let mut iterations = nonneg.iterations;
+    let x = match nonneg.status {
+        LpStatus::Optimal => nonneg.x.into_iter().map(|v| -v).collect(),
+        LpStatus::Infeasible => {
             // Measurement noise can make the sign-constrained program
             // infeasible; fall back to the free-sign formulation.
-            min_l1_norm_solution(a, b).map_err(CoreError::Numerical)?
+            let free = min_l1_norm_program(a, b).map_err(CoreError::Numerical)?;
+            iterations += free.iterations;
+            free.into_optimal().map_err(CoreError::Numerical)?
         }
-        Err(e) => return Err(CoreError::Numerical(e)),
+        LpStatus::Unbounded => return Err(CoreError::Numerical(LinalgError::Unbounded)),
     };
     Ok(SolveOutcome {
         x,
@@ -193,7 +201,7 @@ pub(crate) fn solve_dense_l1(a: &Matrix, b: &[f64]) -> Result<SolveOutcome, Core
         used_single: 0,
         used_pair: 0,
         underdetermined: true,
-        iterations: 0,
+        iterations,
     })
 }
 

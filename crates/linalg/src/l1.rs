@@ -16,10 +16,14 @@
 //! * [`min_l1_norm_solution_nonneg`] — variables constrained to be
 //!   non-negative (used with the substitution `z = −x` for
 //!   log-probabilities).
+//!
+//! [`min_l1_norm_program`] and [`min_l1_norm_program_nonneg`] return the
+//! underlying [`LpSolution`] instead: its status and simplex pivot count
+//! as well as the point.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::simplex::{LinearProgram, LpStatus};
+use crate::simplex::{solve_standard_form, LpSolution, LpStatus};
 
 /// Solves `min ‖x‖₁ subject to A x = b` with free-sign `x`.
 ///
@@ -28,34 +32,24 @@ use crate::simplex::{LinearProgram, LpStatus};
 /// be consistent (e.g. linearly independent rows with at least one
 /// solution); otherwise [`LinalgError::Infeasible`] is returned.
 pub fn min_l1_norm_solution(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    if a.rows() != b.len() {
-        return Err(LinalgError::DimensionMismatch {
-            operation: "min_l1_norm_solution",
-            expected: a.rows(),
-            actual: b.len(),
-        });
-    }
+    min_l1_norm_program(a, b)?.into_optimal()
+}
+
+/// The linear program behind [`min_l1_norm_solution`], with its status and
+/// pivot count. When optimal, `x` holds the `n` free-sign values `u − v`
+/// and `objective_value` is `Σ(u + v)`.
+///
+/// The LP's constraint matrix `[A, −A]` is never built: the simplex kernel
+/// reads the `v` columns as the negated `u` columns.
+pub fn min_l1_norm_program(a: &Matrix, b: &[f64]) -> Result<LpSolution, LinalgError> {
+    check_inputs(a, b, "min_l1_norm_solution")?;
     let n = a.cols();
-    let m = a.rows();
-    // Constraint matrix [A, -A] over variables [u; v].
-    let mut constraints = Matrix::zeros(m, 2 * n);
-    for i in 0..m {
-        for j in 0..n {
-            constraints[(i, j)] = a[(i, j)];
-            constraints[(i, n + j)] = -a[(i, j)];
-        }
-    }
     let objective = vec![1.0; 2 * n];
-    let lp = LinearProgram::new(objective, constraints, b.to_vec())?;
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => {
-            let x = (0..n).map(|j| sol.x[j] - sol.x[n + j]).collect();
-            Ok(x)
-        }
-        LpStatus::Infeasible => Err(LinalgError::Infeasible),
-        LpStatus::Unbounded => Err(LinalgError::Unbounded),
+    let mut sol = solve_standard_form(a, b, &objective, true)?;
+    if sol.status == LpStatus::Optimal {
+        sol.x = (0..n).map(|j| sol.x[j] - sol.x[n + j]).collect();
     }
+    Ok(sol)
 }
 
 /// Solves `min Σ x subject to A x = b, x ≥ 0`.
@@ -64,21 +58,30 @@ pub fn min_l1_norm_solution(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgErr
 /// splitting is needed. Returns [`LinalgError::Infeasible`] if no
 /// non-negative solution exists.
 pub fn min_l1_norm_solution_nonneg(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    min_l1_norm_program_nonneg(a, b)?.into_optimal()
+}
+
+/// The linear program behind [`min_l1_norm_solution_nonneg`], with its
+/// status and pivot count.
+pub fn min_l1_norm_program_nonneg(a: &Matrix, b: &[f64]) -> Result<LpSolution, LinalgError> {
+    check_inputs(a, b, "min_l1_norm_solution_nonneg")?;
+    let objective = vec![1.0; a.cols()];
+    solve_standard_form(a, b, &objective, false)
+}
+
+/// The input checks [`crate::simplex::LinearProgram::new`] would make.
+fn check_inputs(a: &Matrix, b: &[f64], operation: &'static str) -> Result<(), LinalgError> {
     if a.rows() != b.len() {
         return Err(LinalgError::DimensionMismatch {
-            operation: "min_l1_norm_solution_nonneg",
+            operation,
             expected: a.rows(),
             actual: b.len(),
         });
     }
-    let objective = vec![1.0; a.cols()];
-    let lp = LinearProgram::new(objective, a.clone(), b.to_vec())?;
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => Ok(sol.x),
-        LpStatus::Infeasible => Err(LinalgError::Infeasible),
-        LpStatus::Unbounded => Err(LinalgError::Unbounded),
+    if !a.all_finite() || !crate::norms::all_finite(b) {
+        return Err(LinalgError::NotFinite);
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -46,7 +46,10 @@ pub mod simplex;
 pub mod sparse;
 
 pub use error::LinalgError;
-pub use l1::{min_l1_norm_solution, min_l1_norm_solution_nonneg};
+pub use l1::{
+    min_l1_norm_program, min_l1_norm_program_nonneg, min_l1_norm_solution,
+    min_l1_norm_solution_nonneg,
+};
 pub use lstsq::{solve_least_squares, LeastSquaresSolution};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;

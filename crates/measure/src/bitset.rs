@@ -207,20 +207,27 @@ impl BitLanes {
     }
 
     /// Grows the per-lane capacity to at least `new_words_per_lane`,
-    /// re-laying the lanes out (no-op if already large enough).
+    /// re-laying the lanes out in place (no-op if already large enough).
+    ///
+    /// The buffer is extended, not replaced, so the old and the new layout
+    /// are never both resident: a large allocation's `realloc` can move
+    /// its pages instead of copying them. Lanes then move up from the last
+    /// one down, each into a slot past every lane still below it, and the
+    /// gap behind each moved lane is cleared.
     fn grow_to(&mut self, new_words_per_lane: usize) {
-        if new_words_per_lane <= self.words_per_lane {
+        let old = self.words_per_lane;
+        if new_words_per_lane <= old {
             return;
         }
-        let mut new_words = vec![0u64; self.num_lanes.max(1) * new_words_per_lane];
-        for lane in 0..self.num_lanes {
-            let src = lane * self.words_per_lane;
+        self.words
+            .resize(self.num_lanes.max(1) * new_words_per_lane, 0);
+        for lane in (1..self.num_lanes).rev() {
             let dst = lane * new_words_per_lane;
-            new_words[dst..dst + self.words_per_lane]
-                .copy_from_slice(&self.words[src..src + self.words_per_lane]);
+            self.words.copy_within(lane * old..(lane + 1) * old, dst);
+            // The gap between the lane below and this one.
+            self.words[dst - new_words_per_lane + old..dst].fill(0);
         }
         self.words_per_lane = new_words_per_lane;
-        self.words = new_words;
     }
 
     /// Builds a store directly from packed lane words: `num_lanes`
@@ -659,6 +666,35 @@ mod tests {
         }
         // Tail bits of the last used word stay zero.
         assert_eq!(lanes.lane(0)[3] & !tail_mask(200), 0);
+    }
+
+    #[test]
+    fn lanes_grow_in_place_keeps_every_lane() {
+        // Seven lanes through four capacity doublings: every re-layout
+        // moves lanes over each other's old words and must leave each
+        // lane's bits, and zeros past them, exactly as pushed.
+        let bit = |lane: usize, slot: usize| (slot * 7 + lane * 13).is_multiple_of(lane + 2);
+        let mut lanes = BitLanes::new(7);
+        for slot in 0..700 {
+            let row: Vec<bool> = (0..7).map(|lane| bit(lane, slot)).collect();
+            lanes.push_slot(&row);
+        }
+        for lane in 0..7 {
+            let expected = (0..700).filter(|&slot| bit(lane, slot)).count();
+            assert_eq!(lanes.count_ones(lane), expected, "lane {lane}");
+            for slot in 0..700 {
+                assert_eq!(
+                    lanes.get(lane, slot),
+                    bit(lane, slot),
+                    "lane {lane} slot {slot}"
+                );
+            }
+            assert_eq!(
+                lanes.lane(lane)[10] & !tail_mask(700),
+                0,
+                "lane {lane} tail"
+            );
+        }
     }
 
     #[test]

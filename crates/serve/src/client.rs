@@ -154,6 +154,9 @@ fn connect_tcp_stream(
         match TcpStream::connect_timeout(&resolved, config.connect_timeout) {
             Ok(stream) => {
                 stream.set_read_timeout(Some(config.read_timeout))?;
+                // Each request is one write; send it now rather than
+                // coalescing it behind Nagle's algorithm.
+                stream.set_nodelay(true)?;
                 return Ok(stream);
             }
             Err(e) => last = Some(e),

@@ -229,6 +229,9 @@ impl Server {
                 Listener::Tcp(listener) => match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false)?;
+                        // Replies are one small write each; send them now
+                        // rather than coalescing behind Nagle's algorithm.
+                        stream.set_nodelay(true)?;
                         if at_capacity {
                             shed_busy(stream, self.config.max_sessions);
                             None
@@ -395,10 +398,16 @@ impl<R: std::io::Read> std::io::Read for PolledReader<'_, R> {
     }
 }
 
-/// Writes one reply line (text + `\n`) and flushes.
+/// Writes one reply line (text + `\n`) in a single write and flushes.
+///
+/// One write per reply matters on TCP: a separate one-byte `\n` segment
+/// would wait behind Nagle's algorithm for the peer's delayed ACK (40 ms
+/// on Linux), since the peer has nothing to send until it has the line.
 fn reply_line<W: Write>(stream: &mut W, text: &str) -> std::io::Result<()> {
-    stream.write_all(text.as_bytes())?;
-    stream.write_all(b"\n")?;
+    let mut line = Vec::with_capacity(text.len() + 1);
+    line.extend_from_slice(text.as_bytes());
+    line.push(b'\n');
+    stream.write_all(&line)?;
     stream.flush()
 }
 

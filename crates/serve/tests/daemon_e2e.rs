@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use netcorr_core::{AlgorithmConfig, InferenceContext};
 use netcorr_eval::figures::{base_instance, Scale, TopologyFamily};
@@ -171,6 +172,34 @@ fn daemon_replies_err_per_request_instead_of_dropping_connections() {
     client.ingest(&obs).unwrap();
     client.infer().unwrap();
     assert_eq!(client.probabilities().unwrap().len(), 4);
+
+    client.shutdown().unwrap();
+    let mut daemon = daemon;
+    assert!(daemon.0.wait().unwrap().success());
+}
+
+#[test]
+fn tcp_round_trips_are_not_held_back_by_delayed_acks() {
+    // A reply split over two writes on a Nagle socket waits for the
+    // peer's delayed ACK (40 ms on Linux) before its second segment
+    // leaves; one write per reply plus TCP_NODELAY keeps a loopback
+    // round trip far below that floor.
+    let (daemon, addr) = spawn_daemon(&["--listen", "127.0.0.1:0", "--topology", "fig1a"]);
+    let mut client = Client::connect_tcp(addr.as_str()).unwrap();
+    client.ping().unwrap();
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            client.ping().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median PING round trip {median:?} over loopback TCP"
+    );
 
     client.shutdown().unwrap();
     let mut daemon = daemon;
